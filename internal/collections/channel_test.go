@@ -245,3 +245,25 @@ func TestChannelZeroValues(t *testing.T) {
 		return ch.Close(tk)
 	})
 }
+
+// TestChannelSendAllocs pins Send's allocation budget: in Unverified mode
+// a Send allocates exactly one object, the next link's promise. The link
+// label is computed once per channel, not once per Send; every link after
+// the first is still labelled "<label>[+]".
+func TestChannelSendAllocs(t *testing.T) {
+	rt := core.NewRuntime(core.WithMode(core.Unverified))
+	testutil.MustSucceed(t, rt, func(tk *core.Task) error {
+		ch := NewChannelNamed[int](tk, "pipe")
+		if got := testing.AllocsPerRun(1000, func() {
+			if err := ch.Send(tk, 1); err != nil {
+				t.Error(err)
+			}
+		}); got != 1 {
+			return fmt.Errorf("Send: %v allocs/op, want 1 (the next link's promise)", got)
+		}
+		if got := ch.Promises()[0].Label(); got != "pipe[+]" {
+			return fmt.Errorf("link label %q, want %q", got, "pipe[+]")
+		}
+		return ch.Close(tk)
+	})
+}

@@ -67,10 +67,18 @@ func (a *PromiseArena[T]) New(t *Task) *Promise[T] {
 
 // Recycle offers a promise back to the arena for reuse by a later New.
 // It returns true only when the promise was actually accepted, which
-// requires BOTH of:
+// requires ALL of:
 //
 //   - The promise is fulfilled. An owned, unfulfilled promise is live
 //     policy state; reusing it would corrupt rule bookkeeping.
+//   - Its wakeup gate is signalled. publish stores stateFulfilled BEFORE
+//     it signals, so a consumer that took the fast path can observe a
+//     fulfilled promise whose setter has yet to run its gate Swap. That
+//     setter still holds the promise: reused now, its pending Swap would
+//     pre-signal the NEW incarnation's gate, and a later blocking Get on
+//     it would return the zero value as if it were set. The Swap is the
+//     setter's last touch of the promise, so a signalled gate proves the
+//     setter is done with it.
 //   - The runtime is Unverified. Under the verified modes a fulfilled
 //     promise must stay fulfilled-and-ownerless FOREVER: Algorithm 2's
 //     double-read of the owner field tolerates a stale waitingOn
@@ -81,12 +89,13 @@ func (a *PromiseArena[T]) New(t *Task) *Promise[T] {
 //     mode has no owner fields and no detector, so reuse is safe there.
 //
 // A false return is not an error — the promise simply stays on its slab
-// until the arena as a whole is dropped. The caller must guarantee no
-// goroutine still holds a reference to a promise it recycles: a
+// until the arena as a whole is dropped. The setter's own reference is
+// covered by the gate check above; the caller must still guarantee that
+// no other goroutine holds a reference to a promise it recycles: a
 // straggler Get on a recycled promise is a use-after-reuse bug, exactly
 // like reading any other recycled object.
 func (a *PromiseArena[T]) Recycle(p *Promise[T]) bool {
-	if a.r.mode != Unverified || !p.s.fulfilled() {
+	if a.r.mode != Unverified || !p.s.fulfilled() || !p.s.wake.signalled() {
 		return false
 	}
 	a.free = append(a.free, p)

@@ -118,6 +118,42 @@ func TestArenaRecycleRefusedUnfulfilled(t *testing.T) {
 	}
 }
 
+// TestArenaRecycleRefusedBeforeSignal pins the use-after-reuse fix: a
+// setter stores stateFulfilled before it signals the gate, so a consumer
+// can see a fulfilled promise whose setter still holds it. The test stops
+// a Set at exactly that point (the state store done, the gate Swap not
+// yet run) and checks that Recycle refuses the promise until the gate is
+// signalled.
+func TestArenaRecycleRefusedBeforeSignal(t *testing.T) {
+	rt := NewRuntime(WithMode(Unverified))
+	err := run(t, rt, func(tk *Task) error {
+		arena := NewPromiseArena[int](tk)
+		p := arena.New(tk)
+		if !p.s.claim() {
+			return errors.New("claim of a fresh promise failed")
+		}
+		p.value = 1
+		p.s.state.Store(stateFulfilled) // publish's first half
+		if !p.Fulfilled() {
+			return errors.New("promise not fulfilled after the state store")
+		}
+		if arena.Recycle(p) {
+			return errors.New("Recycle accepted a promise whose setter has not signalled its gate")
+		}
+		p.s.wake.signal() // publish's second half: the setter is done
+		if !arena.Recycle(p) {
+			return errors.New("Recycle refused a fulfilled, signalled promise")
+		}
+		if q := arena.New(tk); q != p {
+			return errors.New("New after Recycle did not reuse the recycled promise")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestArenaCrossRuntimePanics: an arena is bound to its runtime; using it
 // from a task of another runtime is a programming error caught loudly.
 func TestArenaCrossRuntimePanics(t *testing.T) {

@@ -40,12 +40,20 @@ func (t *Task) AsyncBatch(specs []SpawnSpec) ([]*Task, error) {
 		return nil, nil
 	}
 	r := t.rt
+	// Each spec's moved set is expanded once and kept for the transfer
+	// pass; exps stays nil (no allocation) for a batch that moves nothing.
+	var exps []movedExpansion
 	if r.mode >= Ownership {
 		for i := range specs {
 			if len(specs[i].Moved) == 0 {
 				continue
 			}
-			if err := t.validateMoved(specs[i].Moved); err != nil {
+			if exps == nil {
+				exps = make([]movedExpansion, len(specs))
+			}
+			e := &exps[i]
+			e.ps = expandMoved(specs[i].Moved, &e.one)
+			if err := t.validateMoved(e.ps); err != nil {
 				r.alarm(err)
 				return nil, err
 			}
@@ -55,11 +63,9 @@ func (t *Task) AsyncBatch(specs []SpawnSpec) ([]*Task, error) {
 	for i := range specs {
 		children[i] = r.newTask(specs[i].Name, t)
 	}
-	if r.mode >= Ownership {
-		for i := range specs {
-			if len(specs[i].Moved) > 0 {
-				t.transferMoved(children[i], specs[i].Moved)
-			}
+	for i := range exps {
+		if len(exps[i].ps) > 0 {
+			t.transferMoved(children[i], exps[i].ps)
 		}
 	}
 	r.startTaskBatch(t, children, specs)

@@ -147,7 +147,14 @@ func TestGetContextDeadlockBeatsDeadline(t *testing.T) {
 		if time.Since(start) > 30*time.Second {
 			return errors.New("the detector waited for the deadline")
 		}
-		return nil // root dies owning p: the cascade unblocks t2
+		// Root dies owning p either way: the cascade unblocks t2. If this
+		// wait closed the cycle, its DeadlockError is the root's result,
+		// so the run reports the alarm whichever waiter raised it.
+		var dl *DeadlockError
+		if errors.As(e, &dl) {
+			return e
+		}
+		return nil
 	})
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {

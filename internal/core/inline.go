@@ -138,11 +138,10 @@ func (t *Task) asyncInline(name string, f TaskFunc, moved []Movable) (*Task, err
 	r := t.rt
 	child := r.newTask(name, t)
 	if r.mode >= Ownership && len(moved) > 0 {
-		if err := t.validateMoved(moved); err != nil {
+		if err := t.moveTo(child, moved); err != nil {
 			r.alarm(err)
 			return nil, err
 		}
-		t.transferMoved(child, moved)
 	}
 	r.startTaskInline(t, child, f)
 	return child, nil

@@ -7,6 +7,12 @@ package core
 // object. See collections.Channel for the paper's Listing 4 example: moving
 // the channel moves its current producer promise, so the sending end of
 // the channel moves between tasks without breaking the abstraction.
+//
+// The runtime calls Promises exactly once per spawn that moves the object
+// (once per spec for AsyncBatch), before validating the move, and uses
+// that one result for both validation and transfer. It never retains the
+// returned slice past the spawn and never mutates it, so an
+// implementation may return an internal slice rather than a copy.
 type Movable interface {
 	// Promises returns the promises that must move when this object moves.
 	Promises() []AnyPromise
@@ -26,8 +32,7 @@ func (g Group) Promises() []AnyPromise {
 }
 
 // Flatten expands a list of Movables into the full list of promises that
-// would move. It is what Async uses internally; exposed for collections
-// and tests.
+// would move, for collections and tests.
 func Flatten(moved ...Movable) []AnyPromise {
 	if len(moved) == 0 {
 		return nil

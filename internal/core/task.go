@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync/atomic"
 )
 
@@ -35,12 +36,12 @@ type Task struct {
 	// by re-checking owner == t.
 	//
 	// The backing array deliberately lives in its own small heap object
-	// (lazily, at the first noteOwned): seeding it inline in the Task
-	// block was tried and reverted — owner-side interface writes into
-	// the large long-lived Task object measured ~50% slower end to end
-	// on the churn-heavy verified workloads (Sieve) than writes into a
-	// dedicated small slice, and tasks that never own a promise pay
-	// nothing at all.
+	// (sized to the moved set at spawn, else grown at the first
+	// noteOwned): seeding it inline in the Task block was tried and
+	// reverted — owner-side interface writes into the large long-lived
+	// Task object measured ~50% slower end to end on the churn-heavy
+	// verified workloads (Sieve) than writes into a dedicated small
+	// slice, and tasks that never own a promise pay nothing at all.
 	owned []AnyPromise
 
 	// ownedCount is the footprint-saving alternative under TrackCounter.
@@ -239,46 +240,89 @@ func (t *Task) asyncScheduled(name string, f TaskFunc, moved []Movable) (*Task, 
 	r := t.rt
 	child := r.newTask(name, t)
 	if r.mode >= Ownership && len(moved) > 0 {
-		if err := t.validateMoved(moved); err != nil {
+		if err := t.moveTo(child, moved); err != nil {
 			r.alarm(err)
 			return nil, err
 		}
-		t.transferMoved(child, moved)
 	}
 	r.startTask(child, f)
 	return child, nil
 }
 
-// validateMoved checks that t currently owns every promise in the moved
-// set (rule 2's precondition). Validation is separate from transfer —
-// validate everything, then transfer everything — so a rejected spawn
-// leaves ownership untouched. Both passes iterate the arguments in place
-// instead of materializing Flatten's []AnyPromise: the variadic slice
-// then never escapes, and the overwhelmingly common case (one promise
-// moved directly) walks zero intermediate slices. A *Promise[T] is its
-// own AnyPromise, so only composite Movables (collections, Group) pay
-// the Promises() expansion.
-func (t *Task) validateMoved(moved []Movable) error {
-	return eachMoved(moved, func(ap AnyPromise) error {
+// moveTo performs rule 2 for one spawn: it expands the moved set once,
+// validates the whole expansion against t, and only then transfers it
+// to child, so a rejected spawn leaves ownership untouched.
+func (t *Task) moveTo(child *Task, moved []Movable) error {
+	var one [1]AnyPromise
+	ps := expandMoved(moved, &one)
+	if err := t.validateMoved(ps); err != nil {
+		return err
+	}
+	t.transferMoved(child, ps)
+	return nil
+}
+
+// movedExpansion holds one spawn's expanded moved set between AsyncBatch's
+// validate-all and transfer-all passes; one backs ps when the set is a
+// single direct promise.
+type movedExpansion struct {
+	ps  []AnyPromise
+	one [1]AnyPromise
+}
+
+// expandMoved returns the promises the moved set expands to, calling each
+// composite Movable's Promises exactly once. A direct AnyPromise argument
+// (every *Promise[T]) is its own expansion: when it is the whole set, the
+// result is backed by the caller's one-element array, so the commonest
+// spawn (one promise moved directly) allocates nothing here. A single
+// composite's Promises result is returned as is, never copied: the caller
+// only reads it (see Movable).
+func expandMoved(moved []Movable, one *[1]AnyPromise) []AnyPromise {
+	if len(moved) == 1 {
+		if ap, ok := moved[0].(AnyPromise); ok {
+			one[0] = ap
+			return one[:]
+		}
+		return moved[0].Promises()
+	}
+	ps := make([]AnyPromise, 0, len(moved))
+	for _, m := range moved {
+		if ap, ok := m.(AnyPromise); ok {
+			ps = append(ps, ap)
+		} else {
+			ps = append(ps, m.Promises()...)
+		}
+	}
+	return ps
+}
+
+// validateMoved checks that t currently owns every promise of an
+// expanded moved set (rule 2's precondition).
+func (t *Task) validateMoved(ps []AnyPromise) error {
+	for _, ap := range ps {
 		if owner := ap.state().owner.Load(); owner != t {
 			return ownershipError("move", t, ap, owner)
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
-// transferMoved moves every promise in the moved set from t to child
-// (rule 2). The caller must have validated the set first. A promise
-// that t no longer owns is skipped silently: that happens exactly when
-// the same promise is listed twice — within one spawn (directly or
-// through overlapping collections) or across the specs of one
-// AsyncBatch, where the first listing wins.
-func (t *Task) transferMoved(child *Task, moved []Movable) {
+// transferMoved moves every promise of a validated, expanded moved set
+// from t to child (rule 2). The child's owned list is grown once, to the
+// expansion's length, instead of by repeated appends. A promise that t
+// no longer owns is skipped silently: that happens exactly when the same
+// promise is listed twice — within one spawn (directly or through
+// overlapping collections) or across the specs of one AsyncBatch, where
+// the first listing wins.
+func (t *Task) transferMoved(child *Task, ps []AnyPromise) {
 	r := t.rt
-	eachMoved(moved, func(ap AnyPromise) error {
+	if r.tracking != TrackCounter {
+		child.owned = slices.Grow(child.owned, len(ps))
+	}
+	for _, ap := range ps {
 		s := ap.state()
 		if s.owner.Load() != t {
-			return nil
+			continue
 		}
 		s.owner.Store(child)
 		t.noteDischarged(ap)
@@ -288,28 +332,7 @@ func (t *Task) transferMoved(child *Task, moved []Movable) {
 			// verifier can track ownership without parsing the detail.
 			r.logEventArg(EvMove, t, s, child.id, "to "+child.displayName())
 		}
-		return nil
-	})
-}
-
-// eachMoved applies fn to every promise the moved set expands to,
-// stopping at the first error. Direct AnyPromise arguments (every
-// *Promise[T]) are visited without expansion.
-func eachMoved(moved []Movable, fn func(AnyPromise) error) error {
-	for _, m := range moved {
-		if ap, ok := m.(AnyPromise); ok {
-			if err := fn(ap); err != nil {
-				return err
-			}
-			continue
-		}
-		for _, ap := range m.Promises() {
-			if err := fn(ap); err != nil {
-				return err
-			}
-		}
 	}
-	return nil
 }
 
 // outstanding returns the promises the task still owns at termination

@@ -294,9 +294,20 @@ func (c *Client) alive() bool {
 // admission answer; cancelling an accepted session is Cancel's job.
 func (c *Client) Submit(ctx context.Context, req SubmitRequest) (*RemoteSession, error) {
 	c.mu.Lock()
-	if c.closed || c.readErr != nil {
+	if c.closed {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("front: client closed: %w", serve.ErrPoolClosed)
+	}
+	if c.fatalCl || c.readErr != nil {
+		// Checked before the frame write: once fatal() has run, the read
+		// loop may not have recorded readErr yet, and a write to the
+		// closed conn would fail with a bare transport error instead.
+		cause := c.readErr
+		if c.fatalCl {
+			cause = c.cause
+		}
+		c.mu.Unlock()
+		return nil, fmt.Errorf("front: connection lost: %w: %w", cause, serve.ErrPoolClosed)
 	}
 	if c.goaway {
 		c.mu.Unlock()
@@ -337,11 +348,18 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest) (*RemoteSession,
 		}
 		return s, nil
 	case <-ctx.Done():
-		// Best-effort: tell the server we no longer care, keep the
-		// pending entry so a late accept/verdict finds a home.
-		c.fw.send(frameCancel, cancelMsg{ID: s.id})
+		// Tell the server we no longer care. The read loop ignores a late
+		// accept for the dropped id and counts a late verdict as
+		// unmatched. A failed cancel write leaves the stream boundary
+		// unknown, exactly like a failed submit write, so it is fatal to
+		// the connection.
+		cause := context.Cause(ctx)
 		c.drop(s.id)
-		return nil, context.Cause(ctx)
+		if err := c.fw.send(frameCancel, cancelMsg{ID: s.id}); err != nil {
+			c.fatal(err)
+			return nil, fmt.Errorf("%w (cancel frame not sent: %w)", cause, err)
+		}
+		return nil, cause
 	case <-c.readDone:
 		c.drop(s.id)
 		return nil, fmt.Errorf("front: connection lost: %w", serve.ErrPoolClosed)
@@ -349,9 +367,14 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest) (*RemoteSession,
 }
 
 // Cancel asks the server to cancel an accepted session. Best-effort:
-// the session still completes with a verdict (normally "canceled").
+// the session still completes with a verdict (normally "canceled"). A
+// failed write is fatal to the connection, as in Submit.
 func (c *Client) Cancel(s *RemoteSession) error {
-	return c.fw.send(frameCancel, cancelMsg{ID: s.id})
+	if err := c.fw.send(frameCancel, cancelMsg{ID: s.id}); err != nil {
+		c.fatal(err)
+		return err
+	}
+	return nil
 }
 
 // Close tears the connection down. In-flight sessions complete locally

@@ -102,13 +102,27 @@ func silentServer(t *testing.T, run func(nc net.Conn)) string {
 // not wedge it forever — and the connection is then fatal'd so later
 // Submits fail fast.
 func TestWriteDeadlineNeverReadingListener(t *testing.T) {
+	// The handler parks until cleanup, and the cleanup closes the server
+	// conn: holding it in held keeps it reachable, so no finalizer can
+	// close it (and reset the stream) while the client is still writing.
+	held := make(chan net.Conn, 1)
+	release := make(chan struct{})
+	t.Cleanup(func() {
+		close(release)
+		select {
+		case nc := <-held:
+			nc.Close()
+		default:
+		}
+	})
 	addr := silentServer(t, func(nc net.Conn) {
 		if tc, ok := nc.(*net.TCPConn); ok {
 			tc.SetReadBuffer(1 << 10)
 		}
 		// Never read again; keep the conn open so writes stall rather
 		// than fail with a reset.
-		select {}
+		held <- nc
+		<-release
 	})
 	c, err := DialOpts(addr, "k", DialOptions{WriteTimeout: 200 * time.Millisecond})
 	if err != nil {
@@ -121,15 +135,17 @@ func TestWriteDeadlineNeverReadingListener(t *testing.T) {
 
 	// Large submits fill the send buffer fast; each call either times
 	// out waiting for the (never-coming) admission answer or — once the
-	// buffers are full — times out in the WRITE, which is the error
-	// under test.
+	// buffers are full — times out in a WRITE (of the submit or of the
+	// cancel frame that follows a timed-out wait), which is the error
+	// under test. Any other error means the conn broke some other way.
 	big := strings.Repeat("x", 1<<16)
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		_, err := c.Submit(ctx, SubmitRequest{Workload: big})
 		cancel()
-		if errors.Is(err, ErrWriteTimeout) {
+		switch {
+		case errors.Is(err, ErrWriteTimeout):
 			// The write deadline fired; the conn must now be fatal'd:
 			// the next Submit fails fast with connection-lost, no 200ms
 			// stall.
@@ -138,12 +154,89 @@ func TestWriteDeadlineNeverReadingListener(t *testing.T) {
 				t.Fatalf("post-timeout Submit = %v, want conn-lost (ErrPoolClosed)", err)
 			}
 			return
-		}
-		if err == nil {
+		case err == nil:
 			t.Fatal("submit succeeded against a never-reading server")
+		case !errors.Is(err, context.DeadlineExceeded):
+			t.Fatalf("Submit = %v, want ErrWriteTimeout or the admission wait's deadline", err)
 		}
 	}
 	t.Fatal("write deadline never fired against a never-reading server")
+}
+
+// failingWriter passes the first ok writes through to w and fails every
+// write after them.
+type failingWriter struct {
+	w  io.Writer
+	ok int
+}
+
+var errWriteFailed = errors.New("injected write failure")
+
+func (fw *failingWriter) Write(p []byte) (int, error) {
+	if fw.ok == 0 {
+		return 0, errWriteFailed
+	}
+	fw.ok--
+	return fw.w.Write(p)
+}
+
+// TestSubmitCancelWriteFailureIsFatal: when Submit's admission wait is
+// cancelled and the cancel frame cannot be written, the stream boundary
+// is unknown, so the connection must be torn down. Submit reports both
+// the cancellation and the write failure, and the next Submit fails fast
+// with connection-lost carrying the write failure.
+func TestSubmitCancelWriteFailureIsFatal(t *testing.T) {
+	addr := silentServer(t, func(nc net.Conn) {
+		// Read and discard everything, answer nothing: the admission wait
+		// can only end by the caller's deadline.
+		io.Copy(io.Discard, nc)
+		nc.Close()
+	})
+	c, err := DialOpts(addr, "k", DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.fw.w = &failingWriter{w: c.nc, ok: 1} // the submit frame goes out, the cancel fails
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, err = c.Submit(ctx, SubmitRequest{Workload: "Sieve"})
+	if !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, errWriteFailed) {
+		t.Fatalf("Submit = %v, want the deadline and the cancel write failure", err)
+	}
+	select {
+	case <-c.readDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("connection not torn down after the cancel write failed")
+	}
+	_, err = c.Submit(context.Background(), SubmitRequest{Workload: "Sieve"})
+	if !errors.Is(err, serve.ErrPoolClosed) || !errors.Is(err, errWriteFailed) {
+		t.Fatalf("post-failure Submit = %v, want conn-lost (ErrPoolClosed) with the write failure", err)
+	}
+}
+
+// TestCancelWriteFailureIsFatal: Cancel's frame write shares Submit's
+// rule — a failed write tears the connection down.
+func TestCancelWriteFailureIsFatal(t *testing.T) {
+	addr := silentServer(t, func(nc net.Conn) {
+		io.Copy(io.Discard, nc)
+		nc.Close()
+	})
+	c, err := DialOpts(addr, "k", DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.fw.w = &failingWriter{w: c.nc}
+	if err := c.Cancel(&RemoteSession{id: 1}); !errors.Is(err, errWriteFailed) {
+		t.Fatalf("Cancel = %v, want the write failure", err)
+	}
+	select {
+	case <-c.readDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("connection not torn down after the cancel write failed")
+	}
 }
 
 // TestHeartbeatDeclaresDeadServer: a server that reads frames but never
